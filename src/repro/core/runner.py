@@ -416,17 +416,31 @@ class NoisySimulator:
         trial_clbits: List[Optional[Dict[int, int]]] = [None] * len(trial_list)
         final_states: List[Optional[Statevector]] = [None] * len(trial_list)
 
+        num_clbits = self.circuit.num_clbits
+
         def on_finish(payload, trial_indices: Tuple[int, ...]) -> None:
             if not has_readout:
                 return
-            for index in trial_indices:
-                trial = trial_list[index]
-                clbits = engine.sample_clbits(payload, measurements, self._rng)
-                clbits = apply_readout_flips(clbits, trial.meas_flips)
+            # One readout call per payload draws its trials' outcomes in
+            # trial_indices order — the same doubles, in the same order,
+            # as one draw per trial.  Draws of one basis state share a
+            # map, so each (outcome, flips) pair is rendered once.
+            samples = engine.sample_clbits_batch(
+                payload, measurements, self._rng, len(trial_indices)
+            )
+            rendered: Dict[Tuple[int, Tuple[int, ...]], Tuple[Dict[int, int], str]] = {}
+            for index, sample in zip(trial_indices, samples):
+                flips = trial_list[index].meas_flips
+                key = (id(sample), flips)
+                hit = rendered.get(key)
+                if hit is None:
+                    clbits = apply_readout_flips(sample, flips)
+                    hit = rendered[key] = (
+                        clbits,
+                        "".join(str(clbits.get(c, 0)) for c in range(num_clbits)),
+                    )
+                clbits, bits = hit
                 trial_clbits[index] = clbits
-                bits = "".join(
-                    str(clbits.get(c, 0)) for c in range(self.circuit.num_clbits)
-                )
                 counts[bits] = counts.get(bits, 0) + 1
                 if collect_final_states:
                     final_states[index] = payload.copy()

@@ -157,8 +157,11 @@ class SharedPrefixStore:
     def __init__(self, budget: Optional[CacheBudget] = None) -> None:
         self.budget = budget
         self._lock = threading.Lock()
-        #: LRU order: oldest first; keyed by (fingerprint, steps).
-        self._entries: "OrderedDict[Tuple[int, StepKey], _Entry]" = (
+        #: Every entry, resident or spilled; keyed by (fingerprint, steps).
+        self._entries: Dict[Tuple[int, StepKey], _Entry] = {}
+        #: LRU order of the *resident* entries only, oldest first, so an
+        #: eviction takes the head instead of scanning past spilled stubs.
+        self._resident: "OrderedDict[Tuple[int, StepKey], None]" = (
             OrderedDict()
         )
         self._resident_bytes = 0
@@ -180,11 +183,11 @@ class SharedPrefixStore:
     ) -> bool:
         """Copy a prefix state into the store under its provenance key.
 
-        Returns ``False`` (and refreshes the entry's LRU position) when the
-        key is already present — concurrent identical jobs publish the
-        same bytes, there is nothing to add.  Publication may trigger
-        budget eviction of *other* entries; the newly published entry is
-        resident on return.
+        Returns ``False`` (and refreshes a resident entry's LRU position)
+        when the key is already present — concurrent identical jobs
+        publish the same bytes, there is nothing to add.  Publication may
+        trigger budget eviction of *other* entries; the newly published
+        entry is resident on return.
         """
         key = (int(fingerprint), tuple(steps))
         data = np.ascontiguousarray(
@@ -193,10 +196,12 @@ class SharedPrefixStore:
         with self._lock:
             existing = self._entries.get(key)
             if existing is not None:
-                self._entries.move_to_end(key)
+                if existing.resident:
+                    self._resident.move_to_end(key)
                 return False
             entry = _Entry(data, layer)
             self._entries[key] = entry
+            self._resident[key] = None
             self._resident_bytes += entry.nbytes
             self._publishes += 1
             self._enforce_budget_locked(keep=key)
@@ -216,7 +221,7 @@ class SharedPrefixStore:
                 self._misses += 1
                 return None
             if entry.resident:
-                self._entries.move_to_end(key)
+                self._resident.move_to_end(key)
                 self._hits += 1
                 assert entry.data is not None
                 return np.frombuffer(entry.data, dtype=np.complex128).copy()
@@ -242,7 +247,7 @@ class SharedPrefixStore:
             entry.path = None
             self._resident_bytes += entry.nbytes
             self._spill_loads += 1
-            self._entries.move_to_end(key)
+            self._resident[key] = None
             self._hits += 1
             if path is not None:
                 try:
@@ -275,6 +280,7 @@ class SharedPrefixStore:
     ) -> None:
         if entry.resident:
             self._resident_bytes -= entry.nbytes
+            self._resident.pop(key, None)
         elif entry.path is not None:
             try:
                 os.unlink(entry.path)
@@ -287,9 +293,11 @@ class SharedPrefixStore:
         if budget is None:
             return
         while self._resident_bytes > budget.max_bytes:
+            # ``keep`` was just touched, so it sits at the LRU tail: this
+            # loop looks at one or two keys, however many are spilled.
             victim_key = None
-            for candidate, entry in self._entries.items():
-                if candidate != keep and entry.resident:
+            for candidate in self._resident:
+                if candidate != keep:
                     victim_key = candidate
                     break
             if victim_key is None:
@@ -303,6 +311,7 @@ class SharedPrefixStore:
                 entry.path = path
                 entry.data = None
                 self._resident_bytes -= entry.nbytes
+                del self._resident[victim_key]
                 self._spills += 1
             elif budget.mode == "drop":
                 self._discard_locked(victim_key, entry)
@@ -317,12 +326,9 @@ class SharedPrefixStore:
 
     def stats(self) -> SharedStoreStats:
         with self._lock:
-            resident = sum(
-                1 for entry in self._entries.values() if entry.resident
-            )
             return SharedStoreStats(
                 entries=len(self._entries),
-                resident_entries=resident,
+                resident_entries=len(self._resident),
                 resident_bytes=self._resident_bytes,
                 hits=self._hits,
                 misses=self._misses,

@@ -80,7 +80,7 @@ class PauliChannel:
         labels must share one width.
     """
 
-    __slots__ = ("_probs", "_labels", "_weights", "_total", "_width")
+    __slots__ = ("_probs", "_labels", "_weights", "_total", "_width", "_draw")
 
     def __init__(self, probabilities: Dict[str, float]) -> None:
         cleaned: Dict[str, float] = {}
@@ -107,6 +107,9 @@ class PauliChannel:
         self._weights = tuple(cleaned[label] for label in self._labels)
         self._total = min(total, 1.0)
         self._width = width
+        #: (label array, conditional CDF) for :meth:`sample_labels`; built
+        #: on first use, never for single-label channels.
+        self._draw = None
 
     @property
     def width(self) -> int:
@@ -127,17 +130,27 @@ class PauliChannel:
 
     def sample_label(self, rng: np.random.Generator) -> str:
         """Draw an error label *given that an error fired*."""
-        if len(self._labels) == 1:
-            return self._labels[0]
-        weights = np.asarray(self._weights) / self._total
-        return str(rng.choice(np.array(self._labels), p=weights))
+        return str(self.sample_labels(1, rng)[0])
 
     def sample_labels(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        """Draw ``count`` labels given that an error fired in each draw."""
+        """Draw ``count`` labels given that an error fired in each draw.
+
+        The conditional CDF is built once per channel, the way
+        ``rng.choice(labels, size=count, p=weights)`` builds it on every
+        call (cumsum, then divide by the last entry); each call is then
+        one ``rng.random(count)`` and one ``searchsorted``.  Outcomes and
+        the generator's next state equal that ``choice`` call's.
+        """
         if len(self._labels) == 1:
             return np.full(count, self._labels[0])
-        weights = np.asarray(self._weights) / self._total
-        return rng.choice(np.array(self._labels), size=count, p=weights)
+        if not self._labels:
+            raise ValueError("channel has no error labels to sample")
+        if self._draw is None:
+            cdf = (np.asarray(self._weights) / self._total).cumsum()
+            cdf /= cdf[-1]
+            self._draw = (np.array(self._labels), cdf)
+        labels, cdf = self._draw
+        return labels[cdf.searchsorted(rng.random(count), side="right")]
 
     def conditional_probability(self, label: str) -> float:
         """P(operator == label | an error fired)."""

@@ -79,15 +79,19 @@ def sample_trials(
         probability = channel.total_probability
         counts = rng.binomial(group_size, probability, size=num_trials)
         hot_trials = np.nonzero(counts)[0]
-        for trial_index in hot_trials:
+        # A (position, label) pair expands to the same events every time
+        # it fires; expand each pair once per group.
+        expanded: Dict[Tuple[int, str], List[ErrorEvent]] = {}
+        for trial_index in hot_trials.tolist():
             fired = int(counts[trial_index])
             chosen = rng.choice(group_size, size=fired, replace=False)
             labels = channel.sample_labels(fired, rng)
-            for position_index, label in zip(chosen, labels):
-                position = group[int(position_index)]
-                events_per_trial[trial_index].extend(
-                    _label_events(position, str(label))
-                )
+            bucket = events_per_trial[trial_index]
+            for key in zip(chosen.tolist(), labels.tolist()):
+                events = expanded.get(key)
+                if events is None:
+                    events = expanded[key] = _label_events(group[key[0]], key[1])
+                bucket.extend(events)
 
     flips_per_trial: List[List[int]] = [[] for _ in range(num_trials)]
     meas_groups: Dict[float, List[int]] = {}
@@ -102,8 +106,10 @@ def sample_trials(
             chosen = rng.choice(len(clbits), size=fired, replace=False)
             flips_per_trial[trial_index].extend(clbits[int(i)] for i in chosen)
 
+    # Most trials at realistic rates are error-free; they share one trial.
+    clean = make_trial(())
     return [
-        make_trial(events, flips)
+        make_trial(events, flips) if events or flips else clean
         for events, flips in zip(events_per_trial, flips_per_trial)
     ]
 

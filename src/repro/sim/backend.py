@@ -18,12 +18,13 @@ error operator.  Measurements and classical bit flips are free.
 from __future__ import annotations
 
 import abc
-from typing import Any, Optional, Sequence
+from typing import Any, List, Optional, Sequence
 
 import numpy as np
 
 from ..circuits.gates import Gate
 from ..circuits.layers import LayeredCircuit
+from .measurement import sample_measurements, sample_measurements_batch
 from .statevector import Statevector, require_state_layout
 
 __all__ = ["SimulationBackend", "StatevectorBackend"]
@@ -107,6 +108,26 @@ class SimulationBackend(abc.ABC):
         """
         return None
 
+    def sample_clbits_batch(
+        self,
+        payload: Any,
+        measurements: Sequence[Any],
+        rng: np.random.Generator,
+        count: int,
+    ) -> List[Optional[dict]]:
+        """Sample ``count`` joint outcomes from one finish payload.
+
+        Consumes ``rng`` exactly as ``count`` successive
+        :meth:`sample_clbits` calls would and returns their results in
+        the same order, so callers may batch a payload's trials without
+        changing any seeded result.  Maps may be shared between draws;
+        copy one before mutating it.  Default: one :meth:`sample_clbits`
+        call per draw (the stabilizer backend's per-trial collapse).
+        """
+        return [
+            self.sample_clbits(payload, measurements, rng) for _ in range(count)
+        ]
+
 
 class StatevectorBackend(SimulationBackend):
     """Real dense statevector execution."""
@@ -168,6 +189,14 @@ class StatevectorBackend(SimulationBackend):
     def sample_clbits(
         self, payload: Statevector, measurements: Sequence[Any], rng: np.random.Generator
     ) -> dict:
-        from .measurement import sample_measurements
-
         return sample_measurements(payload, measurements, rng)
+
+    def sample_clbits_batch(
+        self,
+        payload: Statevector,
+        measurements: Sequence[Any],
+        rng: np.random.Generator,
+        count: int,
+    ) -> List[dict]:
+        """The payload's distribution and CDF once, then ``count`` draws."""
+        return sample_measurements_batch(payload, measurements, rng, count)

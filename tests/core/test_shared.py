@@ -1,6 +1,8 @@
 """SharedPrefixStore: cross-job prefix dedup, eviction, bit-identity."""
 
 import os
+import random
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -132,6 +134,147 @@ class TestEviction:
         assert spill_dir is not None and os.path.isdir(spill_dir)
         store.close()
         assert not os.path.exists(spill_dir)
+
+
+class _ScanReference:
+    """The store's eviction rule written as a rescan from the LRU head.
+
+    One ordered map holds every entry, resident or spilled; each eviction
+    walks it from the oldest end to the first resident key other than
+    ``keep``.  The store keeps a resident-only LRU instead, and must pick
+    the same victims in the same order.
+    """
+
+    def __init__(self, max_bytes, mode):
+        self.max_bytes = max_bytes
+        self.mode = mode
+        self.order = OrderedDict()  # key -> [resident, nbytes]
+        self.resident_bytes = 0
+        self.victims = []
+        self.hits = self.misses = self.publishes = 0
+        self.spills = self.spill_loads = self.drops = 0
+
+    def publish(self, key, nbytes):
+        if key in self.order:
+            self.order.move_to_end(key)
+            return False
+        self.order[key] = [True, nbytes]
+        self.resident_bytes += nbytes
+        self.publishes += 1
+        self._enforce(keep=key)
+        return True
+
+    def fetch(self, key):
+        entry = self.order.get(key)
+        if entry is None:
+            self.misses += 1
+            return False
+        self.order.move_to_end(key)
+        self.hits += 1
+        if not entry[0]:
+            entry[0] = True
+            self.resident_bytes += entry[1]
+            self.spill_loads += 1
+            self._enforce(keep=key)
+        return True
+
+    def _enforce(self, keep):
+        while self.resident_bytes > self.max_bytes:
+            victim = next(
+                (k for k, e in self.order.items() if k != keep and e[0]), None
+            )
+            if victim is None:
+                break
+            self.victims.append(victim)
+            self.resident_bytes -= self.order[victim][1]
+            if self.mode == "spill":
+                self.order[victim][0] = False
+                self.spills += 1
+            else:
+                del self.order[victim]
+                self.drops += 1
+
+    def stats(self):
+        return dict(
+            entries=len(self.order),
+            resident_entries=sum(1 for e in self.order.values() if e[0]),
+            resident_bytes=self.resident_bytes,
+            hits=self.hits,
+            misses=self.misses,
+            publishes=self.publishes,
+            spills=self.spills,
+            spill_loads=self.spill_loads,
+            drops=self.drops,
+            ops_saved=0,
+        )
+
+
+class _RecordingStore(SharedPrefixStore):
+    """Logs each eviction victim by the unique layer it was published at."""
+
+    def __init__(self, budget):
+        super().__init__(budget)
+        self.victims = []
+
+    def _spill_path_locked(self, layer):
+        self.victims.append(layer)
+        return super()._spill_path_locked(layer)
+
+    def _discard_locked(self, key, entry):
+        if entry.resident:
+            self.victims.append(entry.layer)
+        return super()._discard_locked(key, entry)
+
+
+class TestEvictionOrder:
+    """A scripted publish / fetch / spill-reload replay against the rescan."""
+
+    @staticmethod
+    def _script(seed, length=600, keys=40):
+        rng = random.Random(seed)
+        ops = []
+        for _ in range(length):
+            # Mostly publishes and fetches of known keys; a few misses and
+            # the occasional large entry that evicts several at once.
+            ops.append(
+                (rng.choice(("publish", "publish", "fetch", "fetch", "fetch")),
+                 rng.randrange(keys))
+            )
+        return ops
+
+    @staticmethod
+    def _size(key):
+        return 2 ** (1 + key % 4) if key % 9 else 24
+
+    @pytest.mark.parametrize("mode", ["spill", "drop"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_victims_and_stats_match_the_rescan(self, tmp_path, mode, seed):
+        max_bytes = 20 * 16
+        store = _RecordingStore(
+            CacheBudget(max_bytes=max_bytes, mode=mode, spill_dir=str(tmp_path))
+        )
+        reference = _ScanReference(max_bytes, mode)
+        for op, key in self._script(seed):
+            steps = (advance_step(0, key + 1),)
+            vector = np.full(self._size(key), float(key + 1), dtype=np.complex128)
+            before = len(reference.victims)
+            if op == "publish":
+                published = store.publish(3, steps, vector, layer=key)
+                assert published == reference.publish(key, vector.nbytes)
+            else:
+                fetched = store.fetch(3, steps)
+                assert (fetched is not None) == reference.fetch(key)
+                if fetched is not None:
+                    assert np.array_equal(fetched, vector)
+            # The entry just published or fetched is never its own victim.
+            assert key not in reference.victims[before:]
+            assert store.victims == reference.victims
+            assert store.stats().as_dict() == reference.stats()
+        stats = store.stats()
+        assert stats.spills + stats.drops > 20
+        if mode == "spill":
+            assert stats.spill_loads > 0
+        store.close()
 
 
 class TestCrossJobSharing:
