@@ -15,7 +15,6 @@ from .hybrid import (
     HybridSchedule,
     classify_plan,
     run_hybrid,
-    run_hybrid_prefix,
 )
 from .metrics import RunMetrics, compute_metrics
 from .persistence import load_trials, save_trials
@@ -115,6 +114,5 @@ __all__ = [
     "reorder_trials_recursive",
     "run_baseline",
     "run_hybrid",
-    "run_hybrid_prefix",
     "run_optimized",
 ]

@@ -61,6 +61,7 @@ from .cache import (
 from .events import Trial
 from .schedule import (
     Advance,
+    EmitTask,
     ExecutionPlan,
     Finish,
     Inject,
@@ -400,14 +401,61 @@ def run_optimized(
     cache = StateCache(
         recorder=recorder, budget=cache_budget, state_bytes=state_bytes
     )
-    track_provenance = cache_budget is not None
-    working_events: List[Any] = list(entry_events) if track_provenance else []
-    spill_area = _SpillArea(cache_budget) if cache_budget is not None else None
     if recorder:
         _record_run_meta(
             recorder, "optimized", layered, trials, num_instructions=len(plan)
         )
         recorder.begin("run", cat="run")
+    finish_calls, ops_shared = _walk(
+        layered, plan.instructions, backend, cache, on_finish=on_finish,
+        recorder=recorder, entry_state=entry_state, entry_layer=entry_layer,
+        entry_events=entry_events, shared=shared, stop=stop,
+    )
+    outcome = ExecutionOutcome(
+        ops_applied=backend.ops_applied,
+        num_trials=len(trials),
+        cache_stats=cache.stats(),
+        finish_calls=finish_calls,
+        ops_shared=ops_shared,
+    )
+    if recorder:
+        recorder.end(
+            "run",
+            cat="run",
+            ops_applied=outcome.ops_applied,
+            peak_msv=outcome.peak_msv,
+            finish_calls=outcome.finish_calls,
+        )
+    return outcome
+
+
+def _walk(
+    layered: LayeredCircuit,
+    instructions: Sequence[Any],
+    backend: SimulationBackend,
+    cache: StateCache,
+    on_finish: Optional[FinishCallback] = None,
+    recorder=None,
+    entry_state=None,
+    entry_layer: int = 0,
+    entry_events: Tuple = (),
+    shared: Optional[SharedPrefixStore] = None,
+    stop=None,
+) -> Tuple[int, int]:
+    """Depth-first walk of one instruction stream over dense states.
+
+    The loop behind :func:`run_optimized` and the parallel prefix phase:
+    Advance/Snapshot/Inject/Restore/Finish keep each state until its last
+    use, and an ``EmitTask`` (prefix only, ``cache`` is then the
+    partition's prefix cache) copies the working state into the task's
+    entry row and consumes it like a ``Finish``.  Degrades snapshots under
+    ``cache.budget``; drains ``cache`` before returning
+    ``(finish_calls, ops_shared)``.
+    """
+    cache_budget = cache.budget
+    track_provenance = cache_budget is not None
+    working_events: List[Any] = list(entry_events) if track_provenance else []
+    spill_area = _SpillArea(cache_budget) if cache_budget is not None else None
     if entry_state is None:
         working = backend.make_initial()
         working_layer = 0
@@ -434,7 +482,6 @@ def run_optimized(
         working_steps: Tuple[Any, ...] = ()
         slot_steps: Dict[int, Tuple[Any, ...]] = {}
 
-    instructions = plan.instructions
     try:
         for index, instr in enumerate(instructions):
             if stop is not None and stop.is_set():
@@ -641,31 +688,26 @@ def run_optimized(
                     if borrowed:
                         recorder.counter("finish.moved", 1)
                 trials_done += len(instr.trial_indices)
+            elif isinstance(instr, EmitTask):
+                np.copyto(cache.entries[instr.task_id], working.vector)
+                if index + 1 == len(instructions):
+                    # The prefix ends here: free the working state before
+                    # the entry row is counted, so the two never overlap.
+                    backend.release_state(working)
+                    cache.working_destroyed()
+                    working = None
+                cache.emit(instr.task_id, working_layer)
             else:  # pragma: no cover - exhaustive over instruction kinds
                 raise ScheduleError(f"unknown plan instruction {instr!r}")
     finally:
         if spill_area is not None:
             spill_area.cleanup()
 
-    backend.release_state(working)
-    cache.working_destroyed()
+    if working is not None:
+        backend.release_state(working)
+        cache.working_destroyed()
     cache.assert_drained()
-    outcome = ExecutionOutcome(
-        ops_applied=backend.ops_applied,
-        num_trials=len(trials),
-        cache_stats=cache.stats(),
-        finish_calls=finish_calls,
-        ops_shared=ops_shared,
-    )
-    if recorder:
-        recorder.end(
-            "run",
-            cat="run",
-            ops_applied=outcome.ops_applied,
-            peak_msv=outcome.peak_msv,
-            finish_calls=outcome.finish_calls,
-        )
-    return outcome
+    return finish_calls, ops_shared
 
 
 def run_baseline(

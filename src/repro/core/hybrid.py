@@ -44,7 +44,7 @@ cost model can price the hybrid run without touching a backend.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -56,11 +56,13 @@ from .events import ErrorEvent, Trial
 from .executor import (
     ExecutionOutcome,
     FinishCallback,
+    RunInterrupted,
     _record_run_meta,
     run_optimized,
 )
 from .schedule import (
     Advance,
+    EmitTask,
     ExecutionPlan,
     Finish,
     Inject,
@@ -68,6 +70,7 @@ from .schedule import (
     ScheduleError,
     Snapshot,
     build_plan,
+    localize_finishes,
 )
 
 __all__ = [
@@ -76,7 +79,6 @@ __all__ = [
     "classify_plan",
     "classify_instructions",
     "run_hybrid",
-    "run_hybrid_prefix",
 ]
 
 #: Boundary path of the root anchor: the initial state |0...0> at layer 0.
@@ -211,12 +213,11 @@ def classify_instructions(
 ) -> HybridSchedule:
     """Statically split an instruction stream into symbolic/dense actions.
 
-    Accepts plan instructions plus the parallel partitioner's ``EmitTask``
-    (duck-typed via its ``task_id`` field).  The walk is deterministic and
-    backend-free: frames are conjugated through the shadow segment
-    matrices (`_shadow_segment`), dense regions mirror the serial slot
-    discipline, and every residency statistic is derived from the same
-    use-counting the runtime applies.
+    Accepts plan instructions plus the parallel partitioner's
+    ``EmitTask``.  The walk is deterministic and backend-free: frames are
+    conjugated through the shadow segment matrices (`_shadow_segment`),
+    dense regions mirror the serial slot discipline, and every residency
+    statistic is derived from the same use-counting the runtime applies.
     """
     identity = PauliFrame(layered.num_qubits)
     shadow_cache: Dict[Tuple[int, int], Tuple] = {}
@@ -336,9 +337,11 @@ def classify_instructions(
                 actions.append(("restore-sym",))
                 working = restored
                 sym_stored -= 1
-        elif isinstance(instr, Finish):
+        elif isinstance(instr, (Finish, EmitTask)):
+            # An EmitTask consumes the working state exactly like a Finish.
+            tag = "finish" if isinstance(instr, Finish) else "emit"
             if working is _DENSE:
-                actions.append(("finish-dense",))
+                actions.append((f"{tag}-dense",))
             else:
                 use(working.path)
                 if working.frame.is_identity:
@@ -347,20 +350,7 @@ def classify_instructions(
                     materializations += 1
                     timeline.append(("transient",))
                 actions.append(
-                    ("finish-sym", working.path, working.frame.copy())
-                )
-        elif hasattr(instr, "task_id"):  # parallel EmitTask
-            if working is _DENSE:
-                actions.append(("emit-dense",))
-            else:
-                use(working.path)
-                if working.frame.is_identity:
-                    borrows += 1
-                else:
-                    materializations += 1
-                    timeline.append(("transient",))
-                actions.append(
-                    ("emit-sym", working.path, working.frame.copy())
+                    (f"{tag}-sym", working.path, working.frame.copy())
                 )
         else:
             raise ScheduleError(f"unknown plan instruction {instr!r}")
@@ -564,32 +554,13 @@ def _fragment_end(instructions: Sequence[Any], start: int) -> int:
     return len(instructions)
 
 
-def _localize_fragment(
-    instructions: Sequence[Any],
-    num_layers: int,
-) -> Tuple[ExecutionPlan, Tuple[int, ...], int]:
-    """Renumber a fragment's Finish indices into a local sub-plan.
-
-    Same idiom as the parallel partitioner's task localization: global
-    trial indices are collected in finish order and each ``Finish`` gets
-    the corresponding local range, so a worker executor can run the
-    fragment against the trial subset.
-    """
-    ordered_globals: List[int] = []
-    local: List[Any] = []
-    finishes = 0
-    for instr in instructions:
-        if isinstance(instr, Finish):
-            start = len(ordered_globals)
-            ordered_globals.extend(instr.trial_indices)
-            local.append(Finish(tuple(range(start, len(ordered_globals)))))
-            finishes += 1
-        else:
-            local.append(instr)
-    plan = ExecutionPlan(
-        local, num_trials=len(ordered_globals), num_layers=num_layers
-    )
-    return plan, tuple(ordered_globals), finishes
+def _require_compiled(backend) -> None:
+    """Anchors advance with the backend's own memoized segment kernels."""
+    if not hasattr(backend, "compiled"):
+        raise ScheduleError(
+            "hybrid execution needs a compiled statevector backend "
+            f"(CompiledStatevectorBackend); got {type(backend).__name__}"
+        )
 
 
 def run_hybrid(
@@ -602,6 +573,7 @@ def run_hybrid(
     recorder=None,
     batch_size: int = 0,
     schedule: Optional[HybridSchedule] = None,
+    stop=None,
 ) -> HybridOutcome:
     """Execute ``trials`` with the Clifford/Pauli-frame fast path.
 
@@ -616,7 +588,9 @@ def run_hybrid(
     When the static classifier finds no sharable symbolic work
     (``schedule.active`` is false) the run is delegated wholesale to the
     serial or wavefront executor — zero overhead, trivially bit-exact —
-    and the outcome reports ``active=False``.
+    and the outcome reports ``active=False``.  ``stop`` is polled once
+    per plan instruction (and handed to every delegated executor), as in
+    :func:`~repro.core.executor.run_optimized`.
     """
     if plan is None:
         plan = build_plan(layered, trials)
@@ -624,11 +598,7 @@ def run_hybrid(
         raise ScheduleError(
             f"plan covers {plan.num_trials} trials, got {len(trials)}"
         )
-    if not hasattr(backend, "compiled"):
-        raise ScheduleError(
-            "hybrid execution needs a compiled statevector backend "
-            f"(CompiledStatevectorBackend); got {type(backend).__name__}"
-        )
+    _require_compiled(backend)
     if check:
         plan.validate(trials=trials, layered=layered)
     if schedule is None:
@@ -641,18 +611,17 @@ def run_hybrid(
             raise ScheduleError("; ".join(problems))
 
     if not schedule.active:
+        fallback: Dict[str, Any] = dict(
+            on_finish=on_finish, plan=plan, recorder=recorder, stop=stop
+        )
         if batch_size >= 1:
             from .wavefront import run_wavefront
 
             base = run_wavefront(
-                layered, trials, backend, on_finish=on_finish, plan=plan,
-                batch_size=batch_size, check=False, recorder=recorder,
+                layered, trials, backend, batch_size=batch_size, **fallback
             )
         else:
-            base = run_optimized(
-                layered, trials, backend, on_finish=on_finish, plan=plan,
-                check=False, recorder=recorder,
-            )
+            base = run_optimized(layered, trials, backend, **fallback)
         hybrid_stats = dict(schedule.stats)
         hybrid_stats.update(
             anchors_derived=0, real_anchor_ops=0, real_dense_ops=base.ops_applied,
@@ -675,9 +644,63 @@ def run_hybrid(
             recorder, "hybrid", layered, trials, num_instructions=len(plan)
         )
         recorder.begin("run", cat="run")
+    walked = _hybrid_walk(
+        layered, plan.instructions, backend, schedule, cache,
+        trials=trials, on_finish=on_finish, recorder=recorder,
+        batch_size=batch_size, stop=stop,
+    )
+    stats = cache.stats()
+    # Fold each delegated fragment's internal peak into the nominal
+    # bound: outer live states at delegation time plus the fragment's own
+    # peak — exactly what the serial/wavefront walk would report.
+    stats.peak_msv = max(stats.peak_msv, walked["fragment_peak"])
+    hybrid_stats = dict(schedule.stats)
+    hybrid_stats.update(
+        anchors_derived=len(schedule.derive_gates), **walked["real"]
+    )
+    outcome = HybridOutcome(
+        ops_applied=walked["ops"],
+        num_trials=len(trials),
+        cache_stats=stats,
+        finish_calls=walked["finish_calls"],
+        hybrid=hybrid_stats,
+        active=True,
+    )
+    if recorder:
+        recorder.end(
+            "run",
+            cat="run",
+            ops_applied=outcome.ops_applied,
+            peak_msv=outcome.peak_msv,
+            finish_calls=outcome.finish_calls,
+        )
+    return outcome
 
+
+def _hybrid_walk(
+    layered: LayeredCircuit,
+    instructions: Sequence[Any],
+    backend,
+    schedule: HybridSchedule,
+    cache: StateCache,
+    trials: Optional[Sequence[Trial]] = None,
+    on_finish: Optional[FinishCallback] = None,
+    recorder=None,
+    batch_size: int = 0,
+    stop=None,
+) -> Dict[str, Any]:
+    """Depth-first walk of one classified instruction stream.
+
+    The loop behind :func:`run_hybrid` and the hybrid parallel prefix:
+    symbolic states are ``(anchor path, frame)`` pairs over the anchor
+    store, dense ones run the serial executor's actions verbatim, and an
+    ``EmitTask`` (prefix only, ``cache`` is then the partition's prefix
+    cache) borrows or materializes the entry state into the task's entry
+    row and consumes the working state like a ``Finish``.  Returns the
+    nominal ops, finish calls, the largest delegated-fragment peak and
+    the real-work counters; drains ``cache``.
+    """
     anchors = _AnchorStore(layered, backend, schedule, recorder)
-    instructions = plan.instructions
     actions = schedule.actions
     num_layers = layered.num_layers
 
@@ -688,13 +711,14 @@ def run_hybrid(
     cache.working_created()
     working_moved = False
     finish_calls = 0
+    trials_done = 0
     nominal_ops = 0
     real_dense_ops = 0
     clifford_ops = 0
     materialize_count = 0
     borrow_count = 0
     fragments = 0
-    peak_candidates: List[int] = []
+    fragment_peak = 0
 
     def materialize_payload(
         path: Tuple[int, ...], frame: PauliFrame
@@ -713,6 +737,13 @@ def run_hybrid(
     index = 0
     total = len(instructions)
     while index < total:
+        if stop is not None and stop.is_set():
+            if isinstance(working, Statevector):
+                backend.release_state(working)
+            raise RunInterrupted(
+                "hybrid run interrupted by stop request",
+                trials_completed=trials_done,
+            )
         instr = instructions[index]
         action = actions[index]
         kind = action[0]
@@ -753,7 +784,7 @@ def run_hybrid(
                     # fragment; the loop resumes at the outer Restore.
                     end = _fragment_end(instructions, index)
                     sub_plan, ordered_globals, sub_finishes = (
-                        _localize_fragment(instructions[index:end], num_layers)
+                        localize_finishes(instructions[index:end], num_layers)
                     )
                     sub_trials = [trials[g] for g in ordered_globals]
 
@@ -771,32 +802,44 @@ def run_hybrid(
                     from .wavefront import run_wavefront
 
                     saved_recorder = backend.recorder
-                    sub = run_wavefront(
-                        layered,
-                        sub_trials,
-                        backend,
-                        on_finish=sub_finish,
-                        plan=sub_plan,
-                        batch_size=batch_size,
-                        check=False,
-                        recorder=None,
-                        entry_state=dense,
-                        entry_layer=instr.start_layer,
-                        entry_events=events,
-                    )
+                    try:
+                        sub = run_wavefront(
+                            layered,
+                            sub_trials,
+                            backend,
+                            on_finish=sub_finish,
+                            plan=sub_plan,
+                            batch_size=batch_size,
+                            check=False,
+                            recorder=None,
+                            entry_state=dense,
+                            entry_layer=instr.start_layer,
+                            entry_events=events,
+                            stop=stop,
+                        )
+                    except RunInterrupted:
+                        # A fragment delivers its finishes only when it
+                        # completes, so the outer count is the true one.
+                        raise RunInterrupted(
+                            "hybrid run interrupted by stop request",
+                            trials_completed=trials_done,
+                        ) from None
                     backend.set_recorder(saved_recorder)
                     fragments += 1
-                    finish_calls += sub_finishes
+                    finish_calls += len(sub_finishes)
+                    trials_done += len(ordered_globals)
                     nominal_ops += sub.ops_applied - gates
                     real_dense_ops += sub.ops_applied
-                    peak_candidates.append(cache.num_live + sub.peak_msv)
+                    fragment_peak = max(
+                        fragment_peak, cache.num_live + sub.peak_msv
+                    )
                     if recorder:
                         recorder.instant(
                             "hybrid.fragment",
                             cat="hybrid",
                             instructions=end - index,
                             ops=sub.ops_applied - gates,
-                            finishes=sub_finishes,
+                            finishes=len(sub_finishes),
                         )
                         recorder.counter(
                             "ops.applied", sub.ops_applied - gates
@@ -876,16 +919,13 @@ def run_hybrid(
                 )
                 recorder.counter("ops.applied", 1)
         elif isinstance(instr, Restore):
-            if working is None:
-                # A batched fragment consumed the working state; the
-                # nominal destroy already happened before delegation.
-                pass
-            elif working_moved:
+            # A working state moved into the cache lives on there; one
+            # consumed by a batched fragment was destroyed at delegation.
+            if working_moved:
                 working_moved = False
-                cache.working_destroyed()
-            else:
-                if isinstance(working, Statevector):
-                    backend.release_state(working)
+            elif isinstance(working, Statevector):
+                backend.release_state(working)
+            if working is not None:
                 cache.working_destroyed()
             working, working_layer = cache.take(instr.slot)
             cache.working_created()
@@ -936,6 +976,22 @@ def run_hybrid(
                 recorder.counter("trials.finished", len(instr.trial_indices))
                 if borrowed:
                     recorder.counter("finish.moved", 1)
+            trials_done += len(instr.trial_indices)
+        elif isinstance(instr, EmitTask):
+            if kind == "emit-sym":
+                _, path, frame = action
+                source = materialize_payload(path, frame)
+            else:
+                source = working
+            np.copyto(cache.entries[instr.task_id], source.vector)
+            if index + 1 == total:
+                # The prefix ends here: free the working state before the
+                # entry row is counted, so the two never overlap.
+                if isinstance(working, Statevector):
+                    backend.release_state(working)
+                cache.working_destroyed()
+                working = None
+            cache.emit(instr.task_id, working_layer)
         else:
             raise ScheduleError(f"unknown plan instruction {instr!r}")
         index += 1
@@ -945,226 +1001,17 @@ def run_hybrid(
             backend.release_state(working)
         cache.working_destroyed()
     cache.assert_drained()
-    stats = cache.stats()
-    if peak_candidates:
-        # Fold each delegated fragment's internal peak into the nominal
-        # bound: outer live states at delegation time plus the fragment's
-        # own peak — exactly what the serial/wavefront walk would report.
-        stats.peak_msv = max([stats.peak_msv] + peak_candidates)
-    hybrid_stats = dict(schedule.stats)
-    hybrid_stats.update(
-        anchors_derived=len(schedule.derive_gates),
-        real_anchor_ops=anchors.anchor_ops,
-        real_dense_ops=real_dense_ops,
-        real_clifford_ops=clifford_ops,
-        real_materializations=materialize_count,
-        real_borrows=borrow_count,
-        peak_anchors_live=anchors.live_peak,
-        fragments=fragments,
-    )
-    outcome = HybridOutcome(
-        ops_applied=nominal_ops,
-        num_trials=len(trials),
-        cache_stats=stats,
-        finish_calls=finish_calls,
-        hybrid=hybrid_stats,
-        active=True,
-    )
-    if recorder:
-        recorder.end(
-            "run",
-            cat="run",
-            ops_applied=outcome.ops_applied,
-            peak_msv=outcome.peak_msv,
-            finish_calls=outcome.finish_calls,
-        )
-    return outcome
-
-
-def run_hybrid_prefix(
-    partition,
-    layered: LayeredCircuit,
-    backend,
-    entries: np.ndarray,
-    recorder,
-) -> Dict[str, int]:
-    """Hybrid-aware replacement for the parallel phase-1 prefix runner.
-
-    Interprets the partition's prefix program symbolically where the
-    classifier allows it; ``EmitTask`` serializes the materialized entry
-    state into the shared ``entries`` row bitwise equal to the dense
-    prefix walk, so workers (which always run dense) produce identical
-    results.  Returns the same counter dict as the dense ``_run_prefix``
-    with nominal (plan-mirror) operation accounting.
-    """
-    if not hasattr(backend, "compiled"):
-        raise ScheduleError(
-            "hybrid prefix execution needs a compiled statevector backend "
-            f"(CompiledStatevectorBackend); got {type(backend).__name__}"
-        )
-    instructions = partition.prefix
-    schedule = classify_instructions(layered, instructions)
-    if not schedule.active:
-        from .parallel import _run_prefix
-
-        return _run_prefix(partition, layered, backend, entries, recorder)
-
-    backend.reset_counter()
-    backend.set_recorder(recorder)
-    cache = StateCache(recorder=recorder)
-    if recorder:
-        recorder.begin(
-            "prefix",
-            cat="parallel",
-            tasks=partition.num_tasks,
-            depth=partition.depth,
-        )
-    anchors = _AnchorStore(layered, backend, schedule, recorder)
-    working: Any = _Sym(ROOT_PATH, PauliFrame(layered.num_qubits), ())
-    working_layer = 0
-    cache.working_created()
-    emitted = 0
-    peak_live = 1
-    peak_stored = 0
-    nominal_ops = 0
-    actions = schedule.actions
-
-    for index, instr in enumerate(instructions):
-        action = actions[index]
-        kind = action[0]
-        if isinstance(instr, Advance):
-            if instr.start_layer != working_layer:
-                raise ScheduleError(
-                    f"prefix advance from layer {instr.start_layer} but "
-                    f"working state is at layer {working_layer}"
-                )
-            gates = layered.gates_between(instr.start_layer, instr.end_layer)
-            nominal_ops += gates
-            if recorder:
-                span = f"advance[{instr.start_layer},{instr.end_layer})"
-                recorder.begin(span, cat="segment", gates=gates)
-            if kind == "advance-sym":
-                _, parent, new_path, derive = action
-                if derive:
-                    anchors.derive(parent, new_path)
-                working = _Sym(new_path, working.frame, working.events)
-                if recorder:
-                    recorder.counter("hybrid.clifford_ops", gates)
-            elif kind == "advance-mat":
-                _, path, frame, _events = action
-                if not isinstance(working, _Sym) or working.path != path:
-                    raise ScheduleError(
-                        "hybrid prefix out of sync at materialization"
-                    )
-                dense = anchors.materialize(path, frame)
-                working = backend.adopt_state(dense)
-                backend.apply_layers(
-                    working, instr.start_layer, instr.end_layer
-                )
-            else:
-                backend.apply_layers(
-                    working, instr.start_layer, instr.end_layer
-                )
-            if recorder:
-                recorder.end(span, cat="segment")
-                recorder.counter("ops.applied", gates)
-            working_layer = instr.end_layer
-        elif isinstance(instr, Snapshot):
-            if kind == "snapshot-sym":
-                cache.store(working.copy(), working_layer, slot=instr.slot)
-            else:
-                cache.store(
-                    backend.copy_state(working), working_layer,
-                    slot=instr.slot,
-                )
-            if recorder:
-                recorder.instant(
-                    "cache.store", cat="cache", slot=instr.slot,
-                    layer=working_layer,
-                )
-        elif isinstance(instr, Inject):
-            event = instr.event
-            if event.layer + 1 != working_layer:
-                raise ScheduleError(
-                    f"prefix inject {event} at working layer {working_layer}"
-                )
-            nominal_ops += 1
-            if kind == "inject-sym":
-                pass  # folded into downstream action-payload frames
-            else:
-                backend.apply_operator(working, event.gate, (event.qubit,))
-            if recorder:
-                recorder.instant(
-                    "inject", cat="exec", layer=event.layer,
-                    qubit=event.qubit, pauli=event.pauli,
-                )
-                recorder.counter("ops.applied", 1)
-        elif isinstance(instr, Restore):
-            if isinstance(working, Statevector):
-                backend.release_state(working)
-            cache.working_destroyed()
-            working, working_layer = cache.take(instr.slot)
-            cache.working_created()
-            if recorder:
-                recorder.instant(
-                    "cache.hit", cat="cache", slot=instr.slot,
-                    layer=working_layer, evict=True,
-                )
-        elif hasattr(instr, "task_id"):
-            task = partition.tasks[instr.task_id]
-            if working_layer != task.entry_layer:
-                raise ScheduleError(
-                    f"task {task.task_id} entry at layer {task.entry_layer} "
-                    f"but working state is at layer {working_layer}"
-                )
-            if kind == "emit-sym":
-                _, path, frame = action
-                if frame.is_identity:
-                    source = anchors.borrow(path)
-                    np.copyto(entries[instr.task_id], source.vector)
-                else:
-                    materialized = anchors.materialize(path, frame)
-                    np.copyto(entries[instr.task_id], materialized.vector)
-            else:
-                np.copyto(entries[instr.task_id], working.vector)
-            emitted += 1
-            if recorder:
-                recorder.instant(
-                    "task.emit", cat="parallel", task=task.task_id,
-                    layer=working_layer, trials=len(task.trial_indices),
-                )
-                recorder.counter("tasks.emitted", 1)
-            next_instr = (
-                instructions[index + 1]
-                if index + 1 < len(instructions)
-                else None
-            )
-            if not isinstance(next_instr, Restore):
-                if isinstance(working, Statevector):
-                    backend.release_state(working)
-                cache.working_destroyed()
-                working = None
-        else:
-            raise ScheduleError(f"unknown prefix instruction {instr!r}")
-        peak_live = max(peak_live, cache.num_live + emitted)
-        peak_stored = max(peak_stored, cache.num_stored + emitted)
-
-    if working is not None:
-        raise ScheduleError(
-            "prefix program ended without consuming the working state "
-            "(last instruction must be an EmitTask)"
-        )
-    cache.assert_drained()
-    stats = cache.stats()
-    if recorder:
-        recorder.end(
-            "prefix", cat="parallel", ops_applied=nominal_ops,
-            tasks_emitted=emitted,
-        )
     return {
         "ops": nominal_ops,
-        "peak_live": peak_live,
-        "peak_stored": peak_stored,
-        "snapshots_taken": stats.snapshots_taken,
-        "emitted": emitted,
+        "finish_calls": finish_calls,
+        "fragment_peak": fragment_peak,
+        "real": {
+            "real_anchor_ops": anchors.anchor_ops,
+            "real_dense_ops": real_dense_ops,
+            "real_clifford_ops": clifford_ops,
+            "real_materializations": materialize_count,
+            "real_borrows": borrow_count,
+            "peak_anchors_live": anchors.live_peak,
+            "fragments": fragments,
+        },
     }

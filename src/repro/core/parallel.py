@@ -12,7 +12,10 @@ its reuse tree).  This module splits the optimized schedule in two:
   pseudo-instruction that serializes the subtree's entry state; each task
   carries its entry layer, entry event history and its own
   Advance/Inject/Snapshot/Restore/Finish schedule (local trial indices).
-* :func:`run_parallel` executes the prefix against a real backend, ships
+* :func:`run_parallel` executes the prefix once in the parent, through
+  the same depth-first walk as :func:`~repro.core.executor.run_optimized`
+  (or :func:`~repro.core.hybrid.run_hybrid`'s Pauli-frame walk with
+  ``hybrid=True``; ``EmitTask`` is the only extra instruction), ships
   each entry state to a worker process through
   ``multiprocessing.shared_memory`` (raw complex128 amplitudes — never
   pickled statevectors), runs every sub-plan with the ordinary
@@ -104,11 +107,13 @@ from .executor import (
     ExecutionOutcome,
     FinishCallback,
     RunInterrupted,
+    _walk,
     run_optimized,
 )
 from .resilience import WorkerCrash
 from .schedule import (
     Advance,
+    EmitTask,
     ExecutionPlan,
     Finish,
     Inject,
@@ -116,7 +121,10 @@ from .schedule import (
     Restore,
     ScheduleError,
     Snapshot,
+    _PlanBuilder,
+    count_operations,
     emit_subtree,
+    localize_finishes,
 )
 from .trie import TrialTrie, TrieNode
 
@@ -133,15 +141,6 @@ __all__ = [
 
 #: Exit code a worker uses for an injected (simulated) crash.
 _CRASH_EXIT = 73
-
-
-class EmitTask(NamedTuple):
-    """Prefix pseudo-instruction: serialize the working state as the entry
-    snapshot of task ``task_id`` (the working state is consumed, exactly
-    like a serial ``Finish``: the next instruction is a ``Restore`` or the
-    prefix ends)."""
-
-    task_id: int
 
 
 PrefixInstruction = Union[Advance, Snapshot, Inject, Restore, EmitTask]
@@ -216,13 +215,7 @@ class PlanPartition:
 
     def prefix_operations(self, layered: LayeredCircuit) -> int:
         """Basic operations the parent pays once (prefix Advances+Injects)."""
-        ops = 0
-        for instr in self.prefix:
-            if isinstance(instr, Advance):
-                ops += layered.gates_between(instr.start_layer, instr.end_layer)
-            elif isinstance(instr, Inject):
-                ops += 1
-        return ops
+        return count_operations(self.prefix, layered)
 
     def planned_operations(self, layered: LayeredCircuit) -> int:
         """Closed-form total ops — equals the serial plan's count exactly."""
@@ -282,18 +275,24 @@ class PlanPartition:
         )
 
 
-class _Partitioner:
-    """Mirror of the serial ``_PlanBuilder`` walk, cutting at ``depth``."""
+class _Partitioner(_PlanBuilder):
+    """The serial plan builder's DFS, cut at ``depth``.
+
+    Above the cut it emits exactly the serial instructions.  A subtree at
+    the cut, and the terminal tail of a node above it, becomes a task
+    instead: its serial instructions are localized into a
+    :class:`SubPlan` and the prefix gets an :class:`EmitTask` in their
+    place.  The path of injected events to the current node is the
+    task's entry history.
+    """
 
     def __init__(
         self, layered: LayeredCircuit, trie: TrialTrie, depth: int
     ) -> None:
-        self.layered = layered
-        self.trie = trie
+        super().__init__(layered, trie)
         self.depth = depth
-        self.prefix: List[PrefixInstruction] = []
         self.tasks: List[SubPlan] = []
-        self.next_slot = 0
+        self.path: Tuple[ErrorEvent, ...] = ()
 
     def build(self) -> PlanPartition:
         if self.trie.num_trials == 0:
@@ -302,107 +301,52 @@ class _Partitioner:
             raise ScheduleError(
                 f"partition depth must be >= 1, got {self.depth}"
             )
-        self._walk(self.trie.root, entry_layer=0, path=())
+        self._emit_node(self.trie.root, entry_layer=0)
         return PlanPartition(
-            prefix=tuple(self.prefix),
+            prefix=tuple(self.instructions),
             tasks=tuple(self.tasks),
             num_trials=self.trie.num_trials,
             num_layers=self.layered.num_layers,
             depth=self.depth,
         )
 
-    def _make_task(
-        self,
-        entry_layer: int,
-        path: Tuple[ErrorEvent, ...],
-        instructions: Sequence[PlanInstruction],
-    ) -> int:
-        """Localize a global-index instruction list into a SubPlan."""
-        ordered_globals: List[int] = []
-        finishes: List[Tuple[int, ...]] = []
-        local_instructions: List[PlanInstruction] = []
-        for instr in instructions:
-            if isinstance(instr, Finish):
-                start = len(ordered_globals)
-                ordered_globals.extend(instr.trial_indices)
-                finishes.append(instr.trial_indices)
-                local_instructions.append(
-                    Finish(tuple(range(start, len(ordered_globals))))
-                )
-            else:
-                local_instructions.append(instr)
-        plan = ExecutionPlan(
-            local_instructions,
-            num_trials=len(ordered_globals),
-            num_layers=self.layered.num_layers,
+    def _emit_node(self, node: TrieNode, entry_layer: int) -> None:
+        outer = self.path
+        if node.event is not None:
+            self.path = outer + (node.event,)
+        if node.depth >= self.depth:
+            subtree, _ = emit_subtree(self.layered, node, entry_layer)
+            self._emit_task(entry_layer, subtree)
+        else:
+            super()._emit_node(node, entry_layer)
+        self.path = outer
+
+    def _emit_terminals(self, node: TrieNode, cursor: int) -> None:
+        # The worker advances the entry state to the final layer and
+        # finishes, keeping the expensive remaining layers off the parent.
+        tail: List[PlanInstruction] = []
+        if self.layered.num_layers > cursor:
+            tail.append(Advance(cursor, self.layered.num_layers))
+        tail.append(Finish(tuple(node.terminal_trials)))
+        self._emit_task(cursor, tail)
+
+    def _emit_task(
+        self, entry_layer: int, instructions: Sequence[PlanInstruction]
+    ) -> None:
+        plan, trial_indices, finishes = localize_finishes(
+            instructions, self.layered.num_layers
         )
         task = SubPlan(
             task_id=len(self.tasks),
             entry_layer=entry_layer,
-            entry_events=path,
+            entry_events=self.path,
             plan=plan,
-            trial_indices=tuple(ordered_globals),
-            finishes=tuple(finishes),
+            trial_indices=trial_indices,
+            finishes=finishes,
             est_ops=plan.planned_operations(self.layered),
         )
         self.tasks.append(task)
-        return task.task_id
-
-    def _walk(
-        self,
-        node: TrieNode,
-        entry_layer: int,
-        path: Tuple[ErrorEvent, ...],
-    ) -> None:
-        cursor = entry_layer
-        children = node.sorted_children()
-        has_terminals = bool(node.terminal_trials)
-        for position, child in enumerate(children):
-            target = child.event.layer + 1
-            if target > cursor:
-                self.prefix.append(Advance(cursor, target))
-                cursor = target
-            is_last_consumer = (
-                position == len(children) - 1 and not has_terminals
-            )
-            child_path = path + (child.event,)
-            if child.depth >= self.depth:
-                # Cut: the whole subtree under `child` becomes one task.
-                subtree, _ = emit_subtree(self.layered, child, cursor)
-                if is_last_consumer:
-                    self.prefix.append(Inject(child.event))
-                    task_id = self._make_task(cursor, child_path, subtree)
-                    self.prefix.append(EmitTask(task_id))
-                else:
-                    slot = self.next_slot
-                    self.next_slot += 1
-                    self.prefix.append(Snapshot(slot))
-                    self.prefix.append(Inject(child.event))
-                    task_id = self._make_task(cursor, child_path, subtree)
-                    self.prefix.append(EmitTask(task_id))
-                    self.prefix.append(Restore(slot))
-            else:
-                # Above the cut: keep walking in the prefix program.
-                if is_last_consumer:
-                    self.prefix.append(Inject(child.event))
-                    self._walk(child, cursor, child_path)
-                else:
-                    slot = self.next_slot
-                    self.next_slot += 1
-                    self.prefix.append(Snapshot(slot))
-                    self.prefix.append(Inject(child.event))
-                    self._walk(child, cursor, child_path)
-                    self.prefix.append(Restore(slot))
-        if has_terminals:
-            # Terminal tail of a node above the cut: the worker advances
-            # the entry state to the final layer and finishes — keeping
-            # the expensive remaining layers off the parent.
-            tail: List[PlanInstruction] = []
-            if self.layered.num_layers > cursor:
-                tail.append(Advance(cursor, self.layered.num_layers))
-            tail.append(Finish(tuple(node.terminal_trials)))
-            task_id = self._make_task(cursor, path, tail)
-            self.prefix.append(EmitTask(task_id))
+        self.instructions.append(EmitTask(task.task_id))
 
 
 def partition_plan(
@@ -523,18 +467,73 @@ def graceful_stop(
             signal_module.signal(sig, handler)
 
 
-def _run_prefix(
+class _PrefixCache(StateCache):
+    """State cache of the parent's prefix walk.
+
+    Owns the shared-memory entry rows the walk copies each ``EmitTask``
+    state into.  An emitted entry stays resident until the workers read
+    it, so the phase-1 peaks are ``num_live + emitted`` and
+    ``num_stored + emitted``, sampled wherever the cache grows; the
+    ``msv.live`` gauge keeps counting cache states only.
+    """
+
+    def __init__(self, partition: PlanPartition, entries: np.ndarray, recorder):
+        super().__init__(recorder=recorder)
+        self.tasks = partition.tasks
+        self.entries = entries
+        self.emitted = 0
+        self.peak_live = 0
+        self.peak_stored = 0
+
+    def _update_peaks(self) -> None:
+        super()._update_peaks()
+        self.peak_live = max(self.peak_live, self.num_live + self.emitted)
+        self.peak_stored = max(self.peak_stored, self.num_stored + self.emitted)
+
+    def emit(self, task_id: int, layer: int) -> None:
+        """Account entry row ``task_id``, just copied at ``layer``."""
+        task = self.tasks[task_id]
+        if layer != task.entry_layer:
+            raise ScheduleError(
+                f"task {task_id} entry at layer {task.entry_layer} "
+                f"but working state is at layer {layer}"
+            )
+        self.emitted += 1
+        self._update_peaks()
+        recorder = self._recorder
+        if recorder:
+            recorder.instant(
+                "task.emit", cat="parallel", task=task_id, layer=layer,
+                trials=len(task.trial_indices),
+            )
+            recorder.counter("tasks.emitted", 1)
+
+
+def _walk_prefix(
     partition: PlanPartition,
     layered: LayeredCircuit,
     backend,
     entries: np.ndarray,
     recorder,
+    hybrid: bool,
 ) -> Dict[str, int]:
     """Execute the prefix program once; serialize entry states into
-    ``entries`` (one row per task).  Returns the phase-1 counters."""
+    ``entries`` (one row per task).  Returns the phase-1 counters.
+
+    The prefix runs through the serial executor's dense walk, or with
+    ``hybrid`` through the Clifford/Pauli-frame walk when its classifier
+    finds shared symbolic work; entry rows are bitwise identical either
+    way.
+    """
+    schedule = None
+    if hybrid:
+        from .hybrid import _hybrid_walk, _require_compiled, classify_instructions
+
+        _require_compiled(backend)
+        schedule = classify_instructions(layered, partition.prefix)
     backend.reset_counter()
     backend.set_recorder(recorder)
-    cache = StateCache(recorder=recorder)
+    cache = _PrefixCache(partition, entries, recorder)
     if recorder:
         recorder.begin(
             "prefix",
@@ -542,114 +541,24 @@ def _run_prefix(
             tasks=partition.num_tasks,
             depth=partition.depth,
         )
-    working: Any = backend.make_initial()
-    working_layer = 0
-    cache.working_created()
-    emitted = 0
-    peak_live = 1  # live states incl. the emitted entry snapshots
-    peak_stored = 0
-
-    instructions = partition.prefix
-    for index, instr in enumerate(instructions):
-        if isinstance(instr, Advance):
-            if instr.start_layer != working_layer:
-                raise ScheduleError(
-                    f"prefix advance from layer {instr.start_layer} but "
-                    f"working state is at layer {working_layer}"
-                )
-            if recorder:
-                span = f"advance[{instr.start_layer},{instr.end_layer})"
-                gates = layered.gates_between(instr.start_layer, instr.end_layer)
-                recorder.begin(span, cat="segment", gates=gates)
-                backend.apply_layers(working, instr.start_layer, instr.end_layer)
-                recorder.end(span, cat="segment")
-                recorder.counter("ops.applied", gates)
-            else:
-                backend.apply_layers(working, instr.start_layer, instr.end_layer)
-            working_layer = instr.end_layer
-        elif isinstance(instr, Snapshot):
-            snapshot = backend.copy_state(working)
-            cache.store(snapshot, working_layer, slot=instr.slot)
-            if recorder:
-                recorder.instant(
-                    "cache.store", cat="cache", slot=instr.slot,
-                    layer=working_layer,
-                )
-        elif isinstance(instr, Inject):
-            event = instr.event
-            if event.layer + 1 != working_layer:
-                raise ScheduleError(
-                    f"prefix inject {event} at working layer {working_layer}"
-                )
-            backend.apply_operator(working, event.gate, (event.qubit,))
-            if recorder:
-                recorder.instant(
-                    "inject", cat="exec", layer=event.layer,
-                    qubit=event.qubit, pauli=event.pauli,
-                )
-                recorder.counter("ops.applied", 1)
-        elif isinstance(instr, Restore):
-            backend.release_state(working)
-            cache.working_destroyed()
-            working, working_layer = cache.take(instr.slot)
-            cache.working_created()
-            if recorder:
-                recorder.instant(
-                    "cache.hit", cat="cache", slot=instr.slot,
-                    layer=working_layer, evict=True,
-                )
-        elif isinstance(instr, EmitTask):
-            task = partition.tasks[instr.task_id]
-            if working_layer != task.entry_layer:
-                raise ScheduleError(
-                    f"task {task.task_id} entry at layer {task.entry_layer} "
-                    f"but working state is at layer {working_layer}"
-                )
-            # Serialize straight out of the working state — no
-            # intermediate snapshot copy is ever taken for a task entry.
-            np.copyto(entries[instr.task_id], working.vector)
-            emitted += 1
-            if recorder:
-                recorder.instant(
-                    "task.emit", cat="parallel", task=task.task_id,
-                    layer=working_layer, trials=len(task.trial_indices),
-                )
-                recorder.counter("tasks.emitted", 1)
-            # The working state is consumed (like a serial Finish): a
-            # following Restore swaps in the next state; otherwise the
-            # prefix is done with it.
-            next_instr = (
-                instructions[index + 1]
-                if index + 1 < len(instructions)
-                else None
-            )
-            if not isinstance(next_instr, Restore):
-                backend.release_state(working)
-                cache.working_destroyed()
-                working = None
-        else:  # pragma: no cover - exhaustive over prefix kinds
-            raise ScheduleError(f"unknown prefix instruction {instr!r}")
-        peak_live = max(peak_live, cache.num_live + emitted)
-        peak_stored = max(peak_stored, cache.num_stored + emitted)
-
-    if working is not None:
-        raise ScheduleError(
-            "prefix program ended without consuming the working state "
-            "(last instruction must be an EmitTask)"
-        )
-    cache.assert_drained()
-    stats = cache.stats()
+    if schedule is not None and schedule.active:
+        ops = _hybrid_walk(
+            layered, partition.prefix, backend, schedule, cache,
+            recorder=recorder,
+        )["ops"]
+    else:
+        _walk(layered, partition.prefix, backend, cache, recorder=recorder)
+        ops = backend.ops_applied
     if recorder:
         recorder.end(
-            "prefix", cat="parallel", ops_applied=backend.ops_applied,
-            tasks_emitted=emitted,
+            "prefix", cat="parallel", ops_applied=ops,
+            tasks_emitted=cache.emitted,
         )
     return {
-        "ops": backend.ops_applied,
-        "peak_live": peak_live,
-        "peak_stored": peak_stored,
-        "snapshots_taken": stats.snapshots_taken,
-        "emitted": emitted,
+        "ops": ops,
+        "peak_live": cache.peak_live,
+        "peak_stored": cache.peak_stored,
+        "snapshots_taken": cache.stats().snapshots_taken,
     }
 
 
@@ -716,34 +625,24 @@ def _run_one_task(
         _sums.append(payload_checksum(row))
         _cursor[0] += 1
 
+    run_kwargs = dict(
+        plan=task.plan,
+        recorder=recorder,
+        entry_state=entry,
+        entry_layer=task.entry_layer,
+        entry_events=task.entry_events,
+        cache_budget=cache_budget,
+    )
     if batch_size:
         from .wavefront import run_wavefront
 
         outcome = run_wavefront(
-            layered,
-            local_trials,
-            backend,
-            write_finish,
-            plan=task.plan,
-            batch_size=batch_size,
-            recorder=recorder,
-            entry_state=entry,
-            entry_layer=task.entry_layer,
-            entry_events=task.entry_events,
-            cache_budget=cache_budget,
+            layered, local_trials, backend, write_finish,
+            batch_size=batch_size, **run_kwargs,
         )
     else:
         outcome = run_optimized(
-            layered,
-            local_trials,
-            backend,
-            write_finish,
-            plan=task.plan,
-            recorder=recorder,
-            entry_state=entry,
-            entry_layer=task.entry_layer,
-            entry_events=task.entry_events,
-            cache_budget=cache_budget,
+            layered, local_trials, backend, write_finish, **run_kwargs
         )
     return {
         "ops": outcome.ops_applied,
@@ -1311,8 +1210,8 @@ def run_parallel(
         recovery paths and the parent fallback alike.  Results and
         operation counts stay bit-identical at every width.
     hybrid:
-        Run the shared prefix through the Clifford/Pauli-frame fast path
-        (:func:`~repro.core.hybrid.run_hybrid_prefix`) — entry states are
+        Run the shared prefix through the Clifford/Pauli-frame walk of
+        :func:`~repro.core.hybrid.run_hybrid` — entry states are
         materialized from shared anchors instead of walked densely, and
         stay bitwise identical, so workers (always dense) produce the
         same results.  Requires a compiled statevector backend.
@@ -1382,17 +1281,9 @@ def run_parallel(
                 batch=batch_size,
             )
 
-        backend = backend_factory()
-        if hybrid:
-            from .hybrid import run_hybrid_prefix
-
-            phase1 = run_hybrid_prefix(
-                partition, layered, backend, entries, recorder
-            )
-        else:
-            phase1 = _run_prefix(
-                partition, layered, backend, entries, recorder
-            )
+        phase1 = _walk_prefix(
+            partition, layered, backend_factory(), entries, recorder, hybrid
+        )
         wasted_ops = 0
 
         # Checksum every entry state before it crosses the process
@@ -1408,16 +1299,9 @@ def run_parallel(
         def regenerate_entries() -> None:
             """Re-run the prefix to rebuild corrupted entry states."""
             nonlocal wasted_ops
-            if hybrid:
-                from .hybrid import run_hybrid_prefix
-
-                regen = run_hybrid_prefix(
-                    partition, layered, backend_factory(), entries, None
-                )
-            else:
-                regen = _run_prefix(
-                    partition, layered, backend_factory(), entries, None
-                )
+            regen = _walk_prefix(
+                partition, layered, backend_factory(), entries, None, hybrid
+            )
             wasted_ops += regen["ops"]
             if recorder:
                 recorder.instant(
@@ -1453,6 +1337,17 @@ def run_parallel(
         needs_parent = set(pool.needs_parent)
         wasted_ops += pool.wasted_ops
 
+        def deliver(task: SubPlan) -> None:
+            """Replay one task's finishes, in order, through on_finish."""
+            base = result_offsets[task.task_id]
+            for position, global_indices in enumerate(task.finishes):
+                on_finish(
+                    Statevector.from_buffer(
+                        results[base + position], num_qubits
+                    ),
+                    global_indices,
+                )
+
         if pool.interrupted:
             # Graceful shutdown: deliver the finishes of the maximal
             # *verified* completed task-id prefix — task-id order equals
@@ -1470,15 +1365,9 @@ def run_parallel(
                     task, results, result_offsets, report["checksums"]
                 ):
                     break
-                base = result_offsets[task.task_id]
-                for position, global_indices in enumerate(task.finishes):
-                    if on_finish is not None:
-                        payload = Statevector.from_buffer(
-                            results[base + position], num_qubits
-                        )
-                        on_finish(payload, global_indices)
-                        del payload
-                    trials_delivered += len(global_indices)
+                if on_finish is not None:
+                    deliver(task)
+                trials_delivered += len(task.trial_indices)
             raise RunInterrupted(
                 "parallel run interrupted by stop request "
                 f"({trials_delivered}/{len(trials)} trials committed)",
@@ -1538,49 +1427,28 @@ def run_parallel(
             if recorder:
                 recorder.begin("merge", cat="parallel")
             for task in partition.tasks:
-                base = result_offsets[task.task_id]
-                for position, global_indices in enumerate(task.finishes):
-                    payload = Statevector.from_buffer(
-                        results[base + position], num_qubits
-                    )
-                    on_finish(payload, global_indices)
-                    del payload
+                deliver(task)
             if recorder:
                 recorder.end(
                     "merge", cat="parallel", finish_calls=total_finishes
                 )
 
-        per_worker_ops: Dict[int, int] = {}
-        worker_peaks: Dict[int, int] = {}
-        worker_stored: Dict[int, int] = {}
+        # Per executor — a worker id, or None for the parent's inline
+        # last resort: summed ops and the largest task peaks.
+        ops_by: Dict[Optional[int], int] = {}
+        peak_by: Dict[Optional[int], int] = {}
+        stored_by: Dict[Optional[int], int] = {}
         snapshots_taken = phase1["snapshots_taken"]
         finish_calls = 0
-        for report in completed.values():
-            worker_id = report["worker"]
-            per_worker_ops[worker_id] = (
-                per_worker_ops.get(worker_id, 0) + report["ops"]
-            )
-            worker_peaks[worker_id] = max(
-                worker_peaks.get(worker_id, 0), report["peak"]
-            )
-            worker_stored[worker_id] = max(
-                worker_stored.get(worker_id, 0), report["stored"]
-            )
+        for report in [*completed.values(), *parent_reports.values()]:
+            key = report["worker"]
+            ops_by[key] = ops_by.get(key, 0) + report["ops"]
+            peak_by[key] = max(peak_by.get(key, 0), report["peak"])
+            stored_by[key] = max(stored_by.get(key, 0), report["stored"])
             snapshots_taken += report["snapshots_taken"]
             finish_calls += report["finish_calls"]
-        parent_ops = 0
-        parent_peak = 0
-        parent_stored = 0
-        for report in parent_reports.values():
-            parent_ops += report["ops"]
-            parent_peak = max(parent_peak, report["peak"])
-            parent_stored = max(parent_stored, report["stored"])
-            snapshots_taken += report["snapshots_taken"]
-            finish_calls += report["finish_calls"]
-
-        worker_ops = tuple(
-            per_worker_ops[w] for w in sorted(per_worker_ops)
-        )
+        parent_ops = ops_by.pop(None, 0)
+        worker_ops = tuple(ops_by[w] for w in sorted(ops_by))
         ops_applied = phase1["ops"] + sum(worker_ops) + parent_ops
         if check:
             planned = partition.planned_operations(layered)
@@ -1592,12 +1460,10 @@ def run_parallel(
                     f"merged ops {ops_applied} != planned {planned}"
                 )
         peak_msv = max(
-            phase1["peak_live"],
-            num_tasks + sum(worker_peaks.values()) + parent_peak,
+            phase1["peak_live"], num_tasks + sum(peak_by.values())
         )
         peak_stored = max(
-            phase1["peak_stored"],
-            num_tasks + sum(worker_stored.values()) + parent_stored,
+            phase1["peak_stored"], num_tasks + sum(stored_by.values())
         )
         cache_stats = CacheStats(
             peak_msv=peak_msv,

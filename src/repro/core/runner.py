@@ -293,10 +293,16 @@ class NoisySimulator:
             ``batch_size``, no ``hybrid`` — those executors do not walk
             the per-trial provenance the store is keyed by).
         stop:
-            Optional ``threading.Event``; when set mid-run the executor
-            raises :class:`~repro.core.executor.RunInterrupted` after the
+            Optional ``threading.Event``, honoured by every engine:
+            serial and hybrid poll it per plan instruction, baseline per
+            trial, wavefront (``batch_size``) per step, parallel runs
+            between tasks, journaled runs through their serial or
+            parallel engine.  When set mid-run the engine raises
+            :class:`~repro.core.executor.RunInterrupted` after the
             finishes already streamed (and, for journaled runs, after the
             journal tail is committed), so a stopped run is resumable.
+            ``trials_completed`` counts the trials delivered; a wavefront
+            run delivers its finishes only at the end, so it reports 0.
         on_trial:
             Optional callback ``(trial_index, bits)`` invoked once per
             trial as its measurement is sampled — the service tier's
@@ -498,6 +504,7 @@ class NoisySimulator:
                 check=check,
                 recorder=recorder,
                 batch_size=batch_size,
+                stop=stop,
             )
         elif mode == "optimized" and batch_size:
             from .wavefront import run_wavefront
@@ -511,6 +518,7 @@ class NoisySimulator:
                 check=check,
                 recorder=recorder,
                 cache_budget=cache_budget,
+                stop=stop,
             )
         elif mode == "optimized":
             outcome = run_optimized(

@@ -45,11 +45,14 @@ __all__ = [
     "Inject",
     "Restore",
     "Finish",
+    "EmitTask",
     "PlanInstruction",
     "ExecutionPlan",
     "build_plan",
     "build_plan_from_trie",
+    "count_operations",
     "emit_subtree",
+    "localize_finishes",
     "ScheduleError",
 ]
 
@@ -79,7 +82,30 @@ class Finish(NamedTuple):
     trial_indices: Tuple[int, ...]
 
 
+class EmitTask(NamedTuple):
+    """Parallel-prefix pseudo-instruction: the working state becomes the
+    entry state of task ``task_id`` and is consumed, exactly like a
+    ``Finish`` payload (the next instruction is a ``Restore`` or the
+    prefix ends).  Only :func:`repro.core.parallel.partition_plan` emits
+    it."""
+
+    task_id: int
+
+
 PlanInstruction = Union[Advance, Snapshot, Inject, Restore, Finish]
+
+
+def count_operations(
+    instructions: Sequence[PlanInstruction], layered: LayeredCircuit
+) -> int:
+    """Gates crossed by every ``Advance`` plus one per ``Inject``."""
+    ops = 0
+    for instr in instructions:
+        if isinstance(instr, Advance):
+            ops += layered.gates_between(instr.start_layer, instr.end_layer)
+        elif isinstance(instr, Inject):
+            ops += 1
+    return ops
 
 
 class ExecutionPlan:
@@ -114,13 +140,7 @@ class ExecutionPlan:
 
     def planned_operations(self, layered: LayeredCircuit) -> int:
         """Basic-operation count of the plan (closed form, no execution)."""
-        ops = 0
-        for instr in self.instructions:
-            if isinstance(instr, Advance):
-                ops += layered.gates_between(instr.start_layer, instr.end_layer)
-            elif isinstance(instr, Inject):
-                ops += 1
-        return ops
+        return count_operations(self.instructions, layered)
 
     def validate(
         self, trials=None, layered=None, entry_layer=0, entry_events=()
@@ -230,9 +250,13 @@ class _PlanBuilder:
                 self._emit_node(child, cursor)
                 self.instructions.append(Restore(slot))
         if has_terminals:
-            if self.layered.num_layers > cursor:
-                self.instructions.append(Advance(cursor, self.layered.num_layers))
-            self.instructions.append(Finish(tuple(node.terminal_trials)))
+            self._emit_terminals(node, cursor)
+
+    def _emit_terminals(self, node: TrieNode, cursor: int) -> None:
+        """Finish the trials ending at ``node`` (after its children)."""
+        if self.layered.num_layers > cursor:
+            self.instructions.append(Advance(cursor, self.layered.num_layers))
+        self.instructions.append(Finish(tuple(node.terminal_trials)))
 
 
 def build_plan(
@@ -275,6 +299,31 @@ def emit_subtree(
     builder.next_slot = start_slot
     builder._emit_node(node, entry_layer)
     return builder.instructions, builder.next_slot
+
+
+def localize_finishes(
+    instructions: Sequence[PlanInstruction], num_layers: int
+) -> Tuple[ExecutionPlan, Tuple[int, ...], Tuple[Tuple[int, ...], ...]]:
+    """Renumber a slice of a plan into a standalone sub-plan.
+
+    Global trial indices are collected in finish order and each
+    ``Finish`` gets the matching local range, so an executor can run the
+    slice against just its trials.  Returns the local plan, the
+    local -> global index map and each ``Finish``'s global indices in plan
+    order (what a caller replays through ``on_finish``).
+    """
+    ordered: List[int] = []
+    finishes: List[Tuple[int, ...]] = []
+    local: List[PlanInstruction] = []
+    for instr in instructions:
+        if isinstance(instr, Finish):
+            start = len(ordered)
+            ordered.extend(instr.trial_indices)
+            finishes.append(instr.trial_indices)
+            instr = Finish(tuple(range(start, len(ordered))))
+        local.append(instr)
+    plan = ExecutionPlan(local, num_trials=len(ordered), num_layers=num_layers)
+    return plan, tuple(ordered), tuple(finishes)
 
 
 def build_plan_from_trie(

@@ -427,13 +427,14 @@ def lpt_makespan(weights: Sequence[int], num_workers: int) -> int:
 
 
 def _prefix_static_peaks(partition, layered: LayeredCircuit) -> Dict[str, int]:
-    """Static mirror of ``_run_prefix`` peak accounting.
+    """Static mirror of the parent's prefix-walk peak accounting.
 
     After every prefix instruction the parent's live count is
-    ``cached + working + emitted entry snapshots`` — the same formula
-    ``_run_prefix`` maximizes at runtime.
+    ``cached + working + emitted entry snapshots`` — the same formula the
+    parallel prefix cache (``parallel._PrefixCache``) maximizes at
+    runtime.
     """
-    from ..core.parallel import EmitTask
+    from ..core.schedule import EmitTask
 
     stored = 0
     working = 1

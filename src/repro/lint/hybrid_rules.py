@@ -101,7 +101,7 @@ def _replay(
 ) -> None:
     """Independent interpreter; appends ``(message, location, hint)``."""
     from ..core.hybrid import ROOT_PATH, _shadow_segment
-    from ..core.schedule import Advance, Finish, Inject, Restore, Snapshot
+    from ..core.schedule import Advance, EmitTask, Finish, Inject, Restore, Snapshot
     from ..sim.stabilizer import PauliFrame
 
     actions = schedule.actions
@@ -322,24 +322,20 @@ def _replay(
                 )
                 return
             working = restored
-        elif isinstance(instr, Finish):
-            if working is DENSE:
-                if kind != "finish-dense":
-                    problems.append(
-                        (f"expected finish-dense, schedule has {kind}", where, "")
-                    )
-                    return
-            else:
-                if kind != "finish-sym":
-                    problems.append(
-                        (f"expected finish-sym, schedule has {kind}", where, "")
-                    )
-                    return
+        elif isinstance(instr, (Finish, EmitTask)):
+            tag = "finish" if isinstance(instr, Finish) else "emit"
+            expected_kind = f"{tag}-dense" if working is DENSE else f"{tag}-sym"
+            if kind != expected_kind:
+                problems.append(
+                    (f"expected {expected_kind}, schedule has {kind}", where, "")
+                )
+                return
+            if working is not DENSE:
                 _, path, frame = action
                 if path != working.path:
                     problems.append(
                         (
-                            f"finish anchored at {path}, replay is at "
+                            f"{tag} anchored at {path}, replay is at "
                             f"{working.path}",
                             where,
                             "",
@@ -349,36 +345,9 @@ def _replay(
                 if not _frames_equal(frame, working.frame):
                     problems.append(
                         (
-                            "finish frame differs from the re-derived frame",
+                            f"{tag} frame differs from the re-derived frame",
                             where,
                             "the payload frame decides the amplitudes",
-                        )
-                    )
-                    return
-                use(working.path)
-        elif hasattr(instr, "task_id"):
-            if working is DENSE:
-                if kind != "emit-dense":
-                    problems.append(
-                        (f"expected emit-dense, schedule has {kind}", where, "")
-                    )
-                    return
-            else:
-                if kind != "emit-sym":
-                    problems.append(
-                        (f"expected emit-sym, schedule has {kind}", where, "")
-                    )
-                    return
-                _, path, frame = action
-                if path != working.path or not _frames_equal(
-                    frame, working.frame
-                ):
-                    problems.append(
-                        (
-                            "emitted entry state disagrees with the "
-                            "re-derived path/frame",
-                            where,
-                            "",
                         )
                     )
                     return

@@ -296,68 +296,36 @@ class JobServer:
                 retry_cap=self.config.retry_cap,
             ),
         )
+        deadline_hit = False
         try:
-            if record.spec.timeout is not None:
-                payload = await asyncio.wait_for(
-                    asyncio.shield(future), record.spec.timeout
-                )
-            else:
+            if record.spec.timeout is None:
                 payload = await future
-        except asyncio.TimeoutError:
-            stop.set()
-            try:
-                await future
-            except RunInterrupted as exc:
-                record.state = "interrupted"
-                record.error = (
-                    f"deadline of {record.spec.timeout}s exceeded "
-                    f"({exc.trials_completed} trials committed)"
-                )
-            except Exception as exc:  # noqa: BLE001 - report, don't crash
-                record.state = "failed"
-                record.error = f"{type(exc).__name__}: {exc}"
-            self._count_job(record.state)
-            self._broadcast(
-                record.job_id,
-                {
-                    "event": "error",
-                    "job_id": record.job_id,
-                    "state": record.state,
-                    "message": record.error,
-                },
-            )
-            return
+            else:
+                try:
+                    payload = await asyncio.wait_for(
+                        asyncio.shield(future), record.spec.timeout
+                    )
+                except asyncio.TimeoutError:
+                    # The run stops at its next poll, or may finish first;
+                    # a run that finishes is a normal completion.
+                    deadline_hit = True
+                    stop.set()
+                    payload = await future
         except RunInterrupted as exc:
             record.state = "interrupted"
-            record.error = (
-                f"interrupted by shutdown "
-                f"({exc.trials_completed} trials committed)"
+            cause = (
+                f"deadline of {record.spec.timeout}s exceeded"
+                if deadline_hit
+                else "interrupted by shutdown"
             )
-            self._count_job("interrupted")
-            self._broadcast(
-                record.job_id,
-                {
-                    "event": "error",
-                    "job_id": record.job_id,
-                    "state": record.state,
-                    "message": record.error,
-                },
-            )
+            record.error = f"{cause} ({exc.trials_completed} trials committed)"
+            self._report_error(record)
             return
         except Exception as exc:  # noqa: BLE001 - execute_job's terminal raise
             record.state = "failed"
             if record.error is None:
                 record.error = f"{type(exc).__name__}: {exc}"
-            self._count_job("failed")
-            self._broadcast(
-                record.job_id,
-                {
-                    "event": "error",
-                    "job_id": record.job_id,
-                    "state": record.state,
-                    "message": record.error,
-                },
-            )
+            self._report_error(record)
             return
         self._count_job("completed")
         if record.degraded:
@@ -370,6 +338,19 @@ class JobServer:
         self._broadcast(
             record.job_id,
             {"event": "done", "job_id": record.job_id, "result": payload},
+        )
+
+    def _report_error(self, record: JobRecord) -> None:
+        """Count a job that ended without a result and tell its streams."""
+        self._count_job(record.state)
+        self._broadcast(
+            record.job_id,
+            {
+                "event": "error",
+                "job_id": record.job_id,
+                "state": record.state,
+                "message": record.error,
+            },
         )
 
     # -- streaming ---------------------------------------------------------

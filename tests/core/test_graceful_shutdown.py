@@ -11,7 +11,9 @@ import pytest
 from repro import NoisySimulator, ibm_yorktown
 from repro.bench import build_compiled_benchmark
 from repro.core.executor import RunInterrupted
+from repro.core.hybrid import classify_plan
 from repro.core.parallel import graceful_stop
+from repro.core.schedule import build_plan
 
 
 def _sim(seed=7, name="qft4"):
@@ -78,6 +80,57 @@ class TestSerialStop:
         stop.set()
         with pytest.raises(RunInterrupted):
             _sim().run(num_trials=16, mode="baseline", stop=stop)
+
+
+class TestHybridAndWavefrontStop:
+    """The hybrid walk polls ``stop`` per instruction (and hands it to its
+    serial fallback and wavefront fragments); the wavefront per step."""
+
+    @pytest.mark.parametrize(
+        "options",
+        [{"hybrid": True}, {"hybrid": True, "batch_size": 4},
+         {"batch_size": 16}],
+    )
+    def test_preset_stop_interrupts_before_any_work(self, options):
+        stop = threading.Event()
+        stop.set()
+        with pytest.raises(RunInterrupted) as info:
+            _sim(name="bv4").run(num_trials=64, stop=stop, **options)
+        assert info.value.trials_completed == 0
+
+    @pytest.mark.parametrize("batch_size", [0, 4])
+    def test_inactive_hybrid_fallback_honours_stop(self, batch_size):
+        simulator = _sim(name="bv4")
+        trials = simulator.sample(1)
+        schedule = classify_plan(
+            simulator.layered, build_plan(simulator.layered, trials)
+        )
+        assert not schedule.active  # one trial shares nothing
+        stop = threading.Event()
+        stop.set()
+        with pytest.raises(RunInterrupted):
+            simulator.run(
+                trials=trials, hybrid=True, batch_size=batch_size, stop=stop
+            )
+
+    @pytest.mark.parametrize("batch_size", [0, 4])
+    def test_hybrid_stop_after_first_finish_counts_delivered_trials(
+        self, batch_size
+    ):
+        stop = threading.Event()
+        delivered = []
+
+        def trip(index, bits):
+            delivered.append(index)
+            stop.set()
+
+        with pytest.raises(RunInterrupted) as info:
+            _sim(name="bv4").run(
+                num_trials=128, hybrid=True, batch_size=batch_size,
+                stop=stop, on_trial=trip,
+            )
+        assert 0 < len(delivered) < 128
+        assert info.value.trials_completed == len(delivered)
 
 
 class TestParallelStop:

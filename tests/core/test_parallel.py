@@ -11,7 +11,7 @@ across families kernel fusion legitimately changes float rounding.
 import numpy as np
 import pytest
 
-from repro.bench.suite import build_compiled_benchmark
+from repro.bench.suite import bv, build_compiled_benchmark, qft, resolve_benchmark
 from repro.circuits import layerize
 from repro.core import run_optimized
 from repro.core.parallel import (
@@ -21,7 +21,8 @@ from repro.core.parallel import (
     run_parallel,
 )
 from repro.core.runner import NoisySimulator
-from repro.noise import ibm_yorktown, sample_trials
+from repro.lint.costmodel import analyze_partition
+from repro.noise import artificial_model, ibm_yorktown, sample_trials
 from repro.sim.compiled import CompiledStatevectorBackend
 
 needs_fork = pytest.mark.skipif(
@@ -162,6 +163,44 @@ class TestRunnerIntegration:
         )
         with pytest.raises(ValueError, match="statevector"):
             simulator.run(num_trials=8, backend="counting", workers=2)
+
+
+def _accounting_case(name):
+    """Pinned trial sets: Table I circuits on Yorktown noise, and two
+    logical circuits at 5e-3 artificial noise (deeper, wider tries)."""
+    if name in ("bv5", "qft5"):
+        circuit, model = resolve_benchmark(name)
+    else:
+        builder = {"bv8": lambda: bv(8), "qft6": lambda: qft(6)}[name]
+        circuit, model = builder(), artificial_model(5e-3)
+    layered = layerize(circuit)
+    trials = sample_trials(layered, model, 256, np.random.default_rng(7))
+    return layered, trials
+
+
+class TestAccountingPins:
+    """Runtime parallel accounting equals the static cost model exactly.
+
+    ``analyze_partition`` mirrors the parent's prefix walk and each
+    task's serial walk without a backend; with one worker its memory
+    bound is tight, so runtime ``peak_msv`` and ``prefix_ops`` must hit
+    it for either prefix representation (dense or Pauli-frame).
+    """
+
+    @pytest.mark.parametrize("hybrid", [False, True])
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    @pytest.mark.parametrize("name", ["bv5", "qft5", "bv8", "qft6"])
+    def test_peak_and_prefix_ops_match_static_analysis(
+        self, name, depth, hybrid
+    ):
+        layered, trials = _accounting_case(name)
+        partition = partition_plan(layered, trials, depth=depth)
+        static = analyze_partition(partition, layered, workers=(1,))
+        _, outcome = _parallel_stream(
+            layered, trials, 1, inline=True, depth=depth, hybrid=hybrid
+        )
+        assert outcome.peak_msv == static["workers"]["1"]["memory_states"]
+        assert outcome.prefix_ops == static["prefix_ops"]
 
 
 class TestOutcomeAccounting:

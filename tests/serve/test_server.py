@@ -183,6 +183,57 @@ class TestMetricsEndpoint:
             pytest.fail("no shared-store hits gauge in scrape")
 
 
+def _jobs_counted(client, state):
+    for line in client.metrics().splitlines():
+        if line.startswith("repro_serve_jobs_total") and (
+            f'state="{state}"' in line
+        ):
+            return float(line.split()[-1])
+    return 0.0
+
+
+class TestDeadlines:
+    """A job's ``timeout`` sets its stop event; the outcome is whatever the
+    run actually did after that."""
+
+    @staticmethod
+    def _slow_execute(monkeypatch, honour_stop):
+        import repro.serve.server as server_module
+
+        real = server_module.execute_job
+
+        def slow(record, store, **kwargs):
+            time.sleep(0.3)  # well past the spec's deadline
+            if not honour_stop:
+                kwargs["stop"] = None  # finishes before its next poll
+            return real(record, store, **kwargs)
+
+        monkeypatch.setattr(server_module, "execute_job", slow)
+
+    def test_run_finishing_after_deadline_completes(
+        self, harness, monkeypatch
+    ):
+        reference = NoisySimulator(
+            build_compiled_benchmark("bv4"), ibm_yorktown(), seed=5
+        ).run(num_trials=48)
+        self._slow_execute(monkeypatch, honour_stop=False)
+        client = harness()
+        result = client.submit_streaming(_spec(timeout=0.05))
+        assert result["counts"] == reference.counts
+        assert _jobs_counted(client, "completed") == 1
+        assert _jobs_counted(client, "interrupted") == 0
+
+    def test_run_stopped_by_deadline_is_interrupted(
+        self, harness, monkeypatch
+    ):
+        self._slow_execute(monkeypatch, honour_stop=True)
+        client = harness()
+        with pytest.raises(ServeError, match="deadline of 0.05s exceeded"):
+            client.submit_streaming(_spec(timeout=0.05))
+        assert _jobs_counted(client, "interrupted") == 1
+        assert _jobs_counted(client, "completed") == 0
+
+
 class TestCrossJobSharing:
     def test_second_job_shares_and_totals_shrink(self, harness):
         isolated = NoisySimulator(
